@@ -95,6 +95,10 @@ func (e *Executor) colstoreDirect() bool { return e.Colstore == ColstoreOn }
 // slice); the heap tail still streams in row form. In rows mode batches
 // pack live row views across segment and tail boundaries exactly as
 // before.
+//
+// The source reads the segments and heap-tail pages of one scanUnit: the
+// whole store for a sequential scan, one segment or one tail page range
+// per claimed unit of a parallel one (rewind).
 type segBatchSrc struct {
 	store  *colstore.Store
 	heap   *storage.Heap
@@ -108,15 +112,19 @@ type segBatchSrc struct {
 	vecs    []types.ColVec
 	scratch [][]int64 // per-column unpack scratch for bit-packed ints
 	seg     int       // current segment ordinal
+	segEnd  int       // segment bound (exclusive)
 	slot    int       // next slot within the current segment
-	page    int       // heap-tail page cursor (starts at store.SealedPages)
+	page    int       // heap-tail page cursor (from store.SealedPages)
+	pageEnd int       // heap-tail page bound (exclusive)
 	tail    int       // next slot within the current tail page
 	done    bool
 }
 
-func newSegBatchSrc(store *colstore.Store, heap *storage.Heap, preds []colstore.Pred, stats *Stats, tick pollTick, size int, direct bool) *segBatchSrc {
-	return &segBatchSrc{store: store, heap: heap, preds: preds, stats: stats, tick: tick,
-		size: size, direct: direct, page: store.SealedPages}
+// rewind bounds the source to the segments and tail pages of u and
+// restarts it, keeping the batch buffer, vector slots and unpack scratch.
+func (s *segBatchSrc) rewind(u scanUnit) {
+	s.seg, s.segEnd, s.page, s.pageEnd = u.seg, u.segEnd, u.page, u.pageEnd
+	s.slot, s.tail, s.done = 0, 0, false
 }
 
 func (s *segBatchSrc) nextBatch() (*prel.Batch, bool) {
@@ -133,7 +141,7 @@ func (s *segBatchSrc) nextBatch() (*prel.Batch, bool) {
 		}
 	}
 	b.Reset()
-	for b.Cap() < s.size && s.seg < len(s.store.Segments) {
+	for b.Cap() < s.size && s.seg < s.segEnd {
 		seg := s.store.Segments[s.seg]
 		if s.slot == 0 {
 			// Segment entry: elide empty segments silently (the heap path
@@ -162,7 +170,7 @@ func (s *segBatchSrc) nextBatch() (*prel.Batch, bool) {
 		}
 	}
 	// Heap tail: pages the compaction left on the row side.
-	for b.Cap() < s.size && s.page < s.heap.Blocks() {
+	for b.Cap() < s.size && s.page < s.pageEnd {
 		rows, dead, live := s.heap.Block(s.page)
 		if live == 0 {
 			s.page++
@@ -197,7 +205,7 @@ func (s *segBatchSrc) nextBatch() (*prel.Batch, bool) {
 // rows the packing path would have pushed — so totals match the other
 // scan modes.
 func (s *segBatchSrc) nextDirect(b *prel.Batch) (*prel.Batch, bool) {
-	for s.seg < len(s.store.Segments) {
+	for s.seg < s.segEnd {
 		seg := s.store.Segments[s.seg]
 		if s.slot == 0 {
 			if seg.Live == 0 {

@@ -9,13 +9,16 @@
 //
 // Level 1 is a per-query memo (scoreMemo): each prefer operator, and in the
 // morsel-parallel path each worker, owns a private bounded hash table so
-// lookups take no locks. When the bound is exceeded new keys degrade to
+// hits take no locks. A parallel worker's private miss falls through to
+// the operator's query-wide sharedMemo, resolved under its mutex, so each
+// key is computed once per query and the cache counters are identical at
+// every worker count. When the bound is exceeded new keys degrade to
 // direct evaluation (existing entries keep serving hits).
 //
 // Level 2 is a cross-query dictionary (ScoreDict): the engine keeps one per
 // (preference, column-set) for prepared statements and hands it to the
-// executor via DictFor; workers consult it under an RWMutex on a local miss
-// and publish what they compute. The engine invalidates a dictionary by
+// executor via DictFor; level-1 misses consult it under an RWMutex and
+// publish what they compute. The engine invalidates a dictionary by
 // dropping it when any referenced table's catalog version moves (see
 // engine/dicts.go).
 //
@@ -99,9 +102,40 @@ type memoEntry struct {
 	has bool
 }
 
+// memoTable is the bounded key → contribution hash table under every
+// cache level.
+type memoTable struct {
+	buckets map[uint64][]memoEntry
+	n       int
+}
+
+func (t *memoTable) find(h uint64, key []types.Value) (memoEntry, bool) {
+	for _, e := range t.buckets[h] {
+		if types.TupleEqual(e.key, key) {
+			return e, true
+		}
+	}
+	return memoEntry{}, false
+}
+
+// add inserts e unless the table holds limit entries; it reports whether
+// e was stored.
+func (t *memoTable) add(h uint64, e memoEntry, limit int) bool {
+	if t.n >= limit {
+		return false
+	}
+	if t.buckets == nil {
+		t.buckets = map[uint64][]memoEntry{}
+	}
+	t.buckets[h] = append(t.buckets[h], e)
+	t.n++
+	return true
+}
+
 // scoreMemo is the level-1 per-query memo. It is single-goroutine state:
 // the sequential path owns one per prefer operator, the parallel path one
-// per (worker, operator).
+// per (worker, operator), each fronting the operator's query-wide
+// sharedMemo.
 type scoreMemo struct {
 	cond  *expr.Compiled
 	score *expr.Compiled
@@ -110,10 +144,23 @@ type scoreMemo struct {
 	cols []int
 	// dict is the shared level-2 dictionary, or nil outside prepared runs.
 	dict *ScoreDict
+	// shared is the query-wide table of a parallel prefer, or nil on the
+	// sequential path.
+	shared *sharedMemo
 
-	buckets map[uint64][]memoEntry
-	n       int
+	memoTable
 	scratch []types.Value
+}
+
+// sharedMemo is the query-wide level-1 table behind the per-worker memos
+// of one parallel prefer. A worker consults it only on a private miss and
+// resolves the key under its lock, so each key is computed, and counted as
+// a miss, exactly once per query: hit, miss and score-evaluation counts
+// match the sequential path at every worker count. (Past scoreMemoLimit
+// keys, which keys got a slot depends on the order workers reached them.)
+type sharedMemo struct {
+	mu sync.Mutex
+	memoTable
 }
 
 // lookupOrCompute returns the preference's contribution for the tuple's
@@ -127,17 +174,38 @@ func (m *scoreMemo) lookupOrCompute(tuple []types.Value, stats *Stats) (types.SC
 	m.scratch = key
 	debug.SameLen("memo key vs column set", len(key), len(m.cols))
 	h := types.HashTuple(key)
-	for _, e := range m.buckets[h] {
-		if types.TupleEqual(e.key, key) {
-			stats.CacheHits++
-			return e.sc, e.has
-		}
+	if e, ok := m.find(h, key); ok {
+		stats.CacheHits++
+		return e.sc, e.has
 	}
+	if sh := m.shared; sh != nil {
+		sh.mu.Lock()
+		e, ok := sh.find(h, key)
+		if ok {
+			stats.CacheHits++
+		} else {
+			e = m.resolve(h, key, tuple, stats)
+			ok = sh.add(h, e, scoreMemoLimit)
+		}
+		sh.mu.Unlock()
+		if ok {
+			m.add(h, e, scoreMemoLimit) // adopt locally: next probe skips the lock
+		}
+		return e.sc, e.has
+	}
+	e := m.resolve(h, key, tuple, stats)
+	m.add(h, e, scoreMemoLimit)
+	return e.sc, e.has
+}
+
+// resolve produces the entry for a key no level-1 table holds: from the
+// level-2 dictionary (a hit) or by evaluating the preference on tuple (a
+// miss, published to the dictionary).
+func (m *scoreMemo) resolve(h uint64, key, tuple []types.Value, stats *Stats) memoEntry {
 	if m.dict != nil {
 		if e, ok := m.dict.lookup(h, key); ok {
 			stats.CacheHits++
-			m.insert(h, e) // adopt locally: next probe skips the lock
-			return e.sc, e.has
+			return e
 		}
 	}
 	stats.CacheMisses++
@@ -150,11 +218,10 @@ func (m *scoreMemo) lookupOrCompute(tuple []types.Value, stats *Stats) (types.SC
 		}
 	}
 	e.key = append([]types.Value(nil), key...)
-	m.insert(h, e)
 	if m.dict != nil {
 		m.dict.publish(h, e)
 	}
-	return e.sc, e.has
+	return e
 }
 
 // combineBatch is the vectorized consultation of the memo: it folds the
@@ -171,27 +238,16 @@ func (m *scoreMemo) combineBatch(b *prel.Batch, agg pref.Aggregate, stats *Stats
 	}
 }
 
-func (m *scoreMemo) insert(h uint64, e memoEntry) {
-	if m.n >= scoreMemoLimit {
-		return // degraded: existing entries keep serving hits
-	}
-	m.buckets[h] = append(m.buckets[h], e)
-	m.n++
-}
-
 // ScoreDict is the level-2 cross-query score dictionary for one
 // (preference, column-set). It is safe for concurrent use by the workers
 // of any number of queries; entries are immutable once published.
 type ScoreDict struct {
-	mu      sync.RWMutex
-	buckets map[uint64][]memoEntry
-	n       int
+	mu sync.RWMutex
+	memoTable
 }
 
 // NewScoreDict returns an empty dictionary.
-func NewScoreDict() *ScoreDict {
-	return &ScoreDict{buckets: map[uint64][]memoEntry{}}
-}
+func NewScoreDict() *ScoreDict { return &ScoreDict{} }
 
 // Len returns the number of cached keys.
 func (d *ScoreDict) Len() int {
@@ -203,30 +259,18 @@ func (d *ScoreDict) Len() int {
 func (d *ScoreDict) lookup(h uint64, key []types.Value) (memoEntry, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for _, e := range d.buckets[h] {
-		if types.TupleEqual(e.key, key) {
-			return e, true
-		}
-	}
-	return memoEntry{}, false
+	return d.find(h, key)
 }
 
 // publish inserts a computed entry unless the key is already present (two
-// workers may race to compute the same key; both compute the same value,
+// queries may race to compute the same key; both compute the same value,
 // the first insert wins) or the dictionary is full.
 func (d *ScoreDict) publish(h uint64, e memoEntry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.n >= scoreDictLimit {
-		return
+	if _, ok := d.find(h, e.key); !ok {
+		d.add(h, e, scoreDictLimit)
 	}
-	for _, old := range d.buckets[h] {
-		if types.TupleEqual(old.key, e.key) {
-			return
-		}
-	}
-	d.buckets[h] = append(d.buckets[h], e)
-	d.n++
 }
 
 // scoreCacheOn resolves the executor's cache mode against a prefer
@@ -251,7 +295,6 @@ func (e *Executor) newScoreMemo(cond, score *expr.Compiled, p pref.Preference, s
 		score:   score,
 		conf:    p.Conf,
 		cols:    cols,
-		buckets: map[uint64][]memoEntry{},
 		scratch: make([]types.Value, 0, len(cols)),
 	}
 	if e.DictFor != nil {

@@ -334,8 +334,9 @@ func (c *conn) flushCacheOnDDL(sql string) {
 
 // streamable abstracts the two result shapes a statement produces.
 type streamable interface {
-	// send writes the whole result (header, batches, end) to c for qid.
-	send(c *conn, qid uint64) error
+	// send writes the whole result (header, batches, end) to c for qid,
+	// calling release just before the terminating End or Error frame.
+	send(c *conn, qid uint64, release func()) error
 }
 
 // spawn runs one admitted statement in its own goroutine: server-wide
@@ -354,9 +355,21 @@ func (c *conn) spawn(qid uint64, run func(context.Context, []engine.QueryOption)
 			cancel()
 			c.mu.Lock()
 			delete(c.running, qid)
-			c.inflight--
 			c.mu.Unlock()
 		}()
+
+		// release returns the statement's session slot and memory
+		// reservation. It runs before the terminating End or Error frame:
+		// a client that sends its next statement on that frame must find
+		// both free. The deferred call covers paths that never reach one.
+		var reserved int64
+		release := sync.OnceFunc(func() {
+			c.srv.mem.release(reserved)
+			c.mu.Lock()
+			c.inflight--
+			c.mu.Unlock()
+		})
+		defer release()
 
 		// Server-wide admission: queue for a statement slot, but stay
 		// cancelable while queued.
@@ -364,6 +377,7 @@ func (c *conn) spawn(qid uint64, run func(context.Context, []engine.QueryOption)
 		case c.srv.admit <- struct{}{}:
 			defer func() { <-c.srv.admit }()
 		case <-ctx.Done():
+			release()
 			c.writeError(qid, exec.WrapContextErr(ctx.Err()))
 			return
 		}
@@ -378,19 +392,21 @@ func (c *conn) spawn(qid uint64, run func(context.Context, []engine.QueryOption)
 				opts = append(opts, engine.WithMemoryBudget(budget))
 			}
 			if err := c.srv.mem.reserve(budget); err != nil {
+				release()
 				c.writeError(qid, err)
 				return
 			}
-			defer c.srv.mem.release(budget)
+			reserved = budget
 		}
 
 		start := time.Now()
 		result, err := run(ctx, opts)
 		if err != nil {
+			release()
 			c.writeError(qid, err)
 			return
 		}
-		if err := result.send(c, qid); err != nil {
+		if err := result.send(c, qid, release); err != nil {
 			c.srv.log.Printf("conn %s: send qid %d: %v", c.nc.RemoteAddr(), qid, err)
 			return
 		}
@@ -415,7 +431,7 @@ type resultStream struct {
 	res *engine.Result
 }
 
-func (r resultStream) send(c *conn, qid uint64) error {
+func (r resultStream) send(c *conn, qid uint64, release func()) error {
 	var e wire.Encoder
 	e.Uvarint(qid)
 	if r.res.Rel != nil {
@@ -442,6 +458,7 @@ func (r resultStream) send(c *conn, qid uint64) error {
 			rows = rows[n:]
 		}
 	}
+	release()
 	return c.writeEnd(qid, r.res)
 }
 
@@ -451,7 +468,7 @@ type rowsStream struct {
 	rows engine.Rows
 }
 
-func (r rowsStream) send(c *conn, qid uint64) error {
+func (r rowsStream) send(c *conn, qid uint64, release func()) error {
 	defer r.rows.Close()
 	var e wire.Encoder
 	e.Uvarint(qid)
@@ -481,6 +498,7 @@ func (r rowsStream) send(c *conn, qid uint64) error {
 		}
 	}
 	if err := r.rows.Err(); err != nil {
+		release()
 		c.writeError(qid, err)
 		return nil
 	}
@@ -492,6 +510,7 @@ func (r rowsStream) send(c *conn, qid uint64) error {
 	var end wire.Encoder
 	end.Uvarint(qid)
 	end.Stats(r.rows.Stats())
+	release()
 	return c.writeFrame(wire.FrameEnd, end.Bytes())
 }
 

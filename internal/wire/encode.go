@@ -176,6 +176,7 @@ func statsFields(s *exec.Stats) []*int {
 		&s.NativeCalls, &s.IndexProbes, &s.PreferEvals,
 		&s.ScoreRelationRows, &s.ScoreEvals, &s.CacheHits, &s.CacheMisses,
 		&s.Batches, &s.SegmentsScanned, &s.SegmentsSkipped,
+		&s.ColBatches, &s.RowsMaterialized, &s.JoinProbeBatches,
 	}
 }
 

@@ -167,6 +167,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		NativeCalls: 4, IndexProbes: 5, PreferEvals: 6,
 		ScoreRelationRows: 7, ScoreEvals: 8, CacheHits: 9, CacheMisses: 10,
 		Batches: 11, SegmentsScanned: 12, SegmentsSkipped: 13,
+		ColBatches: 14, RowsMaterialized: 15, JoinProbeBatches: 16,
 	}
 	var e Encoder
 	e.Stats(want)
@@ -175,8 +176,8 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	// Forward compatibility: a capture with extra trailing counters decodes.
 	e2 := Encoder{}
-	e2.Uvarint(15)
-	for i := 0; i < 15; i++ {
+	e2.Uvarint(20)
+	for i := 0; i < 20; i++ {
 		e2.Varint(int64(i))
 	}
 	d := NewDecoder(e2.Bytes())
